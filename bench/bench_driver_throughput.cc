@@ -667,9 +667,6 @@ int RunAcceptance(const Options& options, const DatasetProfile& profile,
               "(%zu examples, %zu bytes, 16 probes): %s\n",
               chunk1_driver->cache().size(), chunk1_driver->cache().used_bytes(),
               pools_identical ? "yes" : "NO (BUG)");
-  std::printf("  embed memo (8t): hits=%zu misses=%zu  (report-only: per-worker memos "
-              "make the split scheduling-dependent)\n",
-              eight.embed_memo_hits, eight.embed_memo_misses);
   std::printf("  request-path parallel fraction: %.1f%%  (required >= 94%%): %s\n",
               100.0 * fraction, fraction >= 0.94 ? "ok" : "FAIL");
   std::printf("  maintenance-stalled windows: %zu  (required 0): %s\n",

@@ -55,8 +55,10 @@ ReplayScores Evaluate(DatasetId dataset) {
   result.before = evaluate_quality(0xe1);
   // Several off-peak replay passes refine the hottest, lowest-quality
   // examples in place.
+  MaintenanceTickSpec replay_tick;
+  replay_tick.replay = true;
   for (int pass = 0; pass < 6; ++pass) {
-    bundle->service->manager().RunReplayPass();
+    bundle->service->manager().RunMaintenanceTick(replay_tick, sim.rng());
   }
   result.after = evaluate_quality(0xe1);
   return result;

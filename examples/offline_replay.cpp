@@ -63,11 +63,14 @@ int main() {
 
   // Off-peak replay passes: best-of-n regeneration of the ranked head.
   double quality_gain_total = 0.0;
+  MaintenanceTickSpec replay_tick;
+  replay_tick.replay = true;
   for (int pass = 0; pass < 4; ++pass) {
-    const ReplayReport report = service.manager().RunReplayPass();
+    const MaintenanceApplyOutcome report =
+        service.manager().RunMaintenanceTick(replay_tick, backend.rng());
     quality_gain_total += report.total_quality_gain;
     std::printf("replay pass %d: %zu candidates, %zu replayed, %zu improved (+%.2f quality)\n",
-                pass, report.candidates, report.replayed, report.improved,
+                pass, report.replay_candidates, report.replayed, report.improved,
                 report.total_quality_gain);
   }
   std::printf("total stored-quality gain from replay: %.2f\n", quality_gain_total);

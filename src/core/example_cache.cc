@@ -8,6 +8,30 @@
 
 namespace iccache {
 
+std::vector<uint64_t> ChooseKnapsackEvictions(const std::vector<const Example*>& examples,
+                                              double value_scale, int64_t target_bytes) {
+  std::vector<KnapsackItem> items;
+  items.reserve(examples.size());
+  for (const Example* example : examples) {
+    KnapsackItem item;
+    item.weight = example->SizeBytes();
+    item.value = example->offload_value * value_scale + 1e-3;
+    items.push_back(item);
+  }
+  const KnapsackSolution solution = SolveKnapsack(items, target_bytes);
+  std::vector<bool> keep(examples.size(), false);
+  for (size_t idx : solution.selected) {
+    keep[idx] = true;
+  }
+  std::vector<uint64_t> evicted;
+  for (size_t i = 0; i < examples.size(); ++i) {
+    if (!keep[i]) {
+      evicted.push_back(examples[i]->id);
+    }
+  }
+  return evicted;
+}
+
 ExampleCache::ExampleCache(std::shared_ptr<const Embedder> embedder, ExampleCacheConfig config)
     : embedder_(std::move(embedder)),
       config_(config),
@@ -164,38 +188,17 @@ std::vector<uint64_t> ExampleCache::EnforceCapacity() {
 }
 
 std::vector<uint64_t> ExampleCache::EvictToBytes(int64_t target_bytes) {
-  std::vector<uint64_t> evicted;
   if (used_bytes_ <= target_bytes) {
-    return evicted;
+    return {};
   }
-
-  // Knapsack over retained examples: weight = plaintext bytes, value =
-  // decayed offload gain (with a small recency epsilon so fresh, not-yet-used
-  // examples are not starved out immediately). Items are fed in ascending-id
-  // order: the solver's tie-breaks depend on item order, so eviction must be
-  // a function of pool CONTENTS, not of hash-map iteration history — a
-  // snapshot-restored pool has to evict exactly what the original would.
-  const std::vector<uint64_t> ids = AllIds();
-  std::vector<KnapsackItem> items;
-  items.reserve(ids.size());
-  for (uint64_t id : ids) {
-    const Example& example = examples_.at(id);
-    KnapsackItem item;
-    item.weight = example.SizeBytes();
-    item.value = example.offload_value + 1e-3;
-    items.push_back(item);
+  std::vector<const Example*> pool;
+  pool.reserve(examples_.size());
+  for (uint64_t id : AllIds()) {
+    pool.push_back(&examples_.at(id));
   }
-
-  const KnapsackSolution solution = SolveKnapsack(items, target_bytes);
-  std::vector<bool> keep(ids.size(), false);
-  for (size_t idx : solution.selected) {
-    keep[idx] = true;
-  }
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!keep[i]) {
-      evicted.push_back(ids[i]);
-      Remove(ids[i]);
-    }
+  const std::vector<uint64_t> evicted = ChooseKnapsackEvictions(pool, 1.0, target_bytes);
+  for (uint64_t id : evicted) {
+    Remove(id);
   }
   return evicted;
 }

@@ -36,6 +36,18 @@ struct ExampleCacheConfig {
   uint64_t seed = 0xcac4e;
 };
 
+// The knapsack eviction choice (section 4.3), shared by
+// ExampleCache::EvictToBytes and ExampleManager::PlanMaintenance. Keeps the
+// most valuable subset of `examples` that fits in `target_bytes`: weight =
+// plaintext bytes, value = offload_value * value_scale + 1e-3 (the epsilon
+// keeps fresh, not-yet-used examples from being starved out). `examples`
+// must be in ascending-id order: the solver's tie-breaks depend on item
+// order, so eviction is a function of pool CONTENTS, not of hash-map
+// iteration history — a snapshot-restored pool evicts exactly what the
+// original would. Returns the ids to evict, ascending.
+std::vector<uint64_t> ChooseKnapsackEvictions(const std::vector<const Example*>& examples,
+                                              double value_scale, int64_t target_bytes);
+
 class ExampleCache : public ExampleStore {
  public:
   ExampleCache(std::shared_ptr<const Embedder> embedder, ExampleCacheConfig config = {});

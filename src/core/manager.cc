@@ -4,16 +4,16 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/knapsack.h"
 #include "src/common/mathutil.h"
+#include "src/core/example_cache.h"
 
 namespace iccache {
 
 namespace {
 
-// Shared replay economics (RunReplayPass and PlanMaintenance): expected
-// savings scale with how often the example is reused; once they fall below
-// the one-time replay cost, every lower-ranked candidate is below it too.
+// Replay economics: expected savings scale with how often the example is
+// reused; once they fall below the one-time replay cost, every lower-ranked
+// candidate is below it too.
 double ReuseWeight(const Example& example) {
   return 1.0 + std::min<double>(static_cast<double>(example.access_count), 50.0);
 }
@@ -78,83 +78,6 @@ void ExampleManager::RecordUsage(const std::vector<uint64_t>& example_ids,
   }
 }
 
-ReplayReport ExampleManager::RunReplayPass() {
-  ReplayReport report;
-
-  // Rank replayable examples by gain EMA, descending.
-  struct Ranked {
-    uint64_t id;
-    double gain;
-  };
-  std::vector<Ranked> ranked;
-  for (uint64_t id : store_->AllIds()) {
-    Example example;
-    if (!store_->Snapshot(id, &example) ||
-        example.replay_count >= config_.max_replays_per_example) {
-      continue;
-    }
-    ranked.push_back(Ranked{id, example.replay_gain_ema});
-  }
-  report.candidates = ranked.size();
-  std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
-    if (a.gain != b.gain) {
-      return a.gain > b.gain;
-    }
-    return a.id < b.id;  // deterministic tie-break across shards
-  });
-
-  for (const Ranked& candidate : ranked) {
-    if (report.replayed >= config_.max_replays_per_pass) {
-      break;
-    }
-    Example example;
-    if (!store_->Snapshot(candidate.id, &example)) {
-      continue;  // evicted since the ranking snapshot
-    }
-    // Cost-aware cutoff: see ReuseWeight above — stop the pass.
-    const double reuse_weight = ReuseWeight(example);
-    if (candidate.gain * reuse_weight <= config_.replay_cost) {
-      break;
-    }
-
-    // Best-of-n regeneration on the replay model.
-    double best_quality = example.response_quality;
-    int best_tokens = example.response_tokens;
-    for (int draw = 0; draw < config_.draws_per_replay; ++draw) {
-      const GenerationResult fresh = generator_->Generate(replay_model_, example.request, {});
-      if (fresh.latent_quality > best_quality) {
-        best_quality = fresh.latent_quality;
-        best_tokens = fresh.output_tokens;
-      }
-    }
-
-    const bool improved = best_quality > example.response_quality;
-    const double improvement = best_quality - example.response_quality;
-    const double replay_capability = replay_model_.capability;
-    store_->UpdateExample(candidate.id, [&](Example& stored) {
-      ++stored.replay_count;
-      if (improved) {
-        stored.response_quality = best_quality;
-        stored.response_tokens = best_tokens;
-        stored.source_capability = std::max(stored.source_capability, replay_capability);
-      }
-      // Refinement reduces the remaining headroom; shrink the gain estimate.
-      stored.replay_gain_ema *= (1.0 - stored.response_quality);
-    });
-    ++report.replayed;
-    if (improved) {
-      report.total_quality_gain += improvement;
-      ++report.improved;
-    }
-  }
-  // Replay grows stored responses; re-enforce the byte budget so a pass can
-  // never leave the pool above its watermark.
-  if (report.improved > 0) {
-    store_->EnforceCapacity();
-  }
-  return report;
-}
-
 MaintenancePlan ExampleManager::PlanMaintenance(const MaintenanceCut& cut,
                                                 const MaintenanceTickSpec& spec,
                                                 Rng& rng) const {
@@ -164,39 +87,26 @@ MaintenancePlan ExampleManager::PlanMaintenance(const MaintenanceCut& cut,
   // Eviction: one global knapsack over the decayed cut. The decay that the
   // apply step will perform is simulated here (value *= decay_factor when the
   // tick decays) so the keep/evict decision matches the post-decay pool.
-  std::unordered_set<uint64_t> evicting;
   if (spec.evict && cut.capacity_bytes > 0 &&
       static_cast<double>(cut.used_bytes) >
           static_cast<double>(cut.capacity_bytes) * std::min(1.0, cut.high_watermark)) {
     const int64_t target = static_cast<int64_t>(static_cast<double>(cut.capacity_bytes) *
                                                 Clamp(cut.low_watermark, 0.1, 1.0));
-    std::vector<KnapsackItem> items;
-    items.reserve(cut.examples.size());
-    const double value_scale = spec.decay ? cut.decay_factor : 1.0;
-    for (const Example& example : cut.examples) {  // cut is ascending-id: stable tie-breaks
-      KnapsackItem item;
-      item.weight = example.SizeBytes();
-      item.value = example.offload_value * value_scale + 1e-3;
-      items.push_back(item);
+    std::vector<const Example*> pool;  // the cut is ascending-id
+    pool.reserve(cut.examples.size());
+    for (const Example& example : cut.examples) {
+      pool.push_back(&example);
     }
-    const KnapsackSolution solution = SolveKnapsack(items, target);
-    std::vector<bool> keep(cut.examples.size(), false);
-    for (size_t idx : solution.selected) {
-      keep[idx] = true;
-    }
-    for (size_t i = 0; i < cut.examples.size(); ++i) {
-      if (!keep[i]) {
-        plan.evict_ids.push_back(cut.examples[i].id);
-        evicting.insert(cut.examples[i].id);
-      }
-    }
+    plan.evict_ids =
+        ChooseKnapsackEvictions(pool, spec.decay ? cut.decay_factor : 1.0, target);
   }
 
   if (!spec.replay) {
     return plan;
   }
+  const std::unordered_set<uint64_t> evicting(plan.evict_ids.begin(), plan.evict_ids.end());
 
-  // Replay: identical ranking and economics to RunReplayPass, over the cut.
+  // Replay: rank by gain EMA, then best-of-n until the cost cutoff.
   struct Ranked {
     const Example* example;
     double gain;
@@ -243,6 +153,7 @@ MaintenancePlan ExampleManager::PlanMaintenance(const MaintenanceCut& cut,
 
 MaintenanceApplyOutcome ExampleManager::ApplyMaintenance(const MaintenancePlan& plan) {
   MaintenanceApplyOutcome outcome;
+  outcome.replay_candidates = plan.replay_candidates;
   if (plan.spec.decay) {
     store_->DecayTick();
     outcome.decay_ran = true;
@@ -262,7 +173,7 @@ MaintenanceApplyOutcome ExampleManager::ApplyMaintenance(const MaintenancePlan& 
         ++stored.replay_count;
         // Re-check against the LIVE quality: only this tick mutates response
         // quality, so the comparison is deterministic, and a no-op draw still
-        // consumes the lifetime replay slot (as in RunReplayPass).
+        // consumes the lifetime replay slot.
         if (replay.best_quality > stored.response_quality) {
           outcome.total_quality_gain += replay.best_quality - stored.response_quality;
           stored.response_quality = replay.best_quality;
@@ -291,16 +202,9 @@ MaintenanceApplyOutcome ExampleManager::ApplyMaintenance(const MaintenancePlan& 
   return outcome;
 }
 
-MaintenanceReport ExampleManager::MaybeRunMaintenance(double now) {
-  MaintenanceReport report;
-  if (now - last_decay_time_ < config_.decay_interval_s) {
-    return report;
-  }
-  last_decay_time_ = now;
-  store_->DecayTick();
-  report.evicted = store_->EnforceCapacity().size();
-  report.ran = true;
-  return report;
+MaintenanceApplyOutcome ExampleManager::RunMaintenanceTick(const MaintenanceTickSpec& spec,
+                                                           Rng& rng) {
+  return ApplyMaintenance(PlanMaintenance(store_->ExportMaintenanceCut(), spec, rng));
 }
 
 }  // namespace iccache

@@ -20,7 +20,9 @@
 //                      (reads the store as of the call).
 //   CommitAdmission  — quality gate + the insert; serial phase only.
 //
-// MaybeAdmit composes the two for synchronous callers.
+// MaybeAdmit composes the two for synchronous callers. Maintenance is split
+// the same way (PlanMaintenance / ApplyMaintenance), and RunMaintenanceTick
+// composes those on an immediate cut.
 #ifndef SRC_CORE_MANAGER_H_
 #define SRC_CORE_MANAGER_H_
 
@@ -51,27 +53,16 @@ struct ManagerConfig {
   double decay_interval_s = 3600.0;
 };
 
-struct ReplayReport {
-  size_t candidates = 0;
-  size_t replayed = 0;
-  size_t improved = 0;
-  double total_quality_gain = 0.0;
-};
-
-struct MaintenanceReport {
-  bool ran = false;       // false while within the decay interval
-  size_t evicted = 0;     // examples removed by the capacity knapsack
-};
-
-// --- Epoch-based background maintenance (plan / apply split) ---------------
+// --- Maintenance ticks (plan / apply split) ---------------------------------
 //
-// A concurrent driver never runs decay, eviction, or replay inline: at a
-// window boundary it exports an epoch-consistent MaintenanceCut, a background
-// thread PLANS the tick against that frozen view (pure, expensive — replay
-// regenerations and the eviction knapsack), and the resulting mutation batch
-// is APPLIED at a later, deterministic window boundary. Because the plan is
-// a pure function of (cut, spec, rng) and the apply point is fixed by the
-// window schedule, the whole scheme is invariant to thread and lane counts.
+// A tick is PLANNED against a MaintenanceCut (pure, expensive — replay
+// regenerations and the eviction knapsack) and the resulting mutation batch
+// is then APPLIED to the live store. The concurrent driver exports the cut
+// at a window boundary, plans on a background thread, and applies at a
+// later, deterministic window boundary; because the plan is a pure function
+// of (cut, spec, rng) and the apply point is fixed by the window schedule,
+// the scheme is invariant to thread and lane counts. The synchronous
+// IcCacheService plans and applies back to back on an immediate cut.
 
 // What one tick should do, stamped with its epoch (the tick ordinal, which
 // also derives the tick's private sampling stream).
@@ -101,6 +92,7 @@ struct MaintenancePlan {
 struct MaintenanceApplyOutcome {
   bool decay_ran = false;
   bool replay_ran = false;
+  size_t replay_candidates = 0;  // the plan's replay-eligible examples
   // PLANNED removals applied, only. The trailing watermark top-up inside
   // ApplyMaintenance reports through the store's own eviction counter
   // instead, so consumers summing both sources never double-count.
@@ -140,29 +132,31 @@ class ExampleManager {
   uint64_t MaybeAdmit(const Request& request, const GenerationResult& generation,
                       double source_capability, bool from_large_model, double now);
 
-  // --- Gain accounting, replay, maintenance --------------------------------
+  // --- Gain accounting ------------------------------------------------------
 
   // Per-use gain accounting for the examples that served a request:
   // G(e) = (1 - quality) * model_cost, folded into each example's EMA.
   void RecordUsage(const std::vector<uint64_t>& example_ids, double response_quality,
                    double normalized_model_cost);
 
-  // One cost-aware replay pass (run off-peak); refines top-ranked examples.
-  ReplayReport RunReplayPass();
+  // --- Maintenance: decay, knapsack eviction, cost-aware replay -------------
 
-  // Hourly decay + capacity enforcement; call with the current sim time.
-  MaintenanceReport MaybeRunMaintenance(double now);
-
-  // --- Epoch-based maintenance (background scheduler) ----------------------
+  // True once `decay_interval_s` of trace time has passed since the last
+  // decay tick (the hourly cadence both stacks schedule decay on).
+  bool DecayDue(double now) const {
+    return now - last_decay_time_ >= config_.decay_interval_s;
+  }
 
   // PURE planning half: ranks and simulates the tick against the frozen cut.
-  // Touches no mutable state (generation uses `rng`, the tick's private
+  // Touches no mutable state (generation uses `rng`, the caller's sampling
   // stream), so it is safe on a background thread while the store serves.
-  // Eviction is planned as ONE GLOBAL knapsack over the decayed cut (the
-  // background planner sees the whole pool at once, so it does not need the
-  // per-shard apportioning the inline EnforceCapacity path uses); replay
-  // follows the same ranking, cost cutoff, and per-example lifetime cap as
-  // RunReplayPass. Examples planned for eviction are never replayed.
+  // Eviction is planned as ONE GLOBAL knapsack (ChooseKnapsackEvictions)
+  // over the decayed cut, run when usage is past the high watermark. Replay
+  // ranks examples below their lifetime cap by gain EMA (descending, id
+  // tie-break), regenerates each best-of-n on the replay model, and stops at
+  // the per-pass bound or at the first candidate whose reuse-weighted gain no
+  // longer covers the one-time replay cost. Examples planned for eviction are
+  // never replayed.
   MaintenancePlan PlanMaintenance(const MaintenanceCut& cut, const MaintenanceTickSpec& spec,
                                   Rng& rng) const;
 
@@ -172,6 +166,11 @@ class ExampleManager {
   // and apply (and replay token growth) cannot leave the pool above its
   // watermark. Ids evicted since the cut are skipped; outcomes are exact.
   MaintenanceApplyOutcome ApplyMaintenance(const MaintenancePlan& plan);
+
+  // Synchronous tick: plans `spec` against an immediate cut of the store and
+  // applies it (the way MaybeAdmit composes the admission halves). Replay
+  // draws come from `rng` in plan order.
+  MaintenanceApplyOutcome RunMaintenanceTick(const MaintenanceTickSpec& spec, Rng& rng);
 
   const ManagerConfig& config() const { return config_; }
 

@@ -410,13 +410,25 @@ void IcCacheService::RunMaintenance(double now) {
   if (config_.stage0.enabled) {
     metrics_.Increment("stage0_expired", static_cast<double>(stage0_.ExpireStale(now)));
   }
-  manager_.MaybeRunMaintenance(now);
+  // The driver's tick path run synchronously: hourly decay + knapsack
+  // eviction, then (after the proxy refresh) one cost-aware replay pass.
+  if (manager_.DecayDue(now)) {
+    manager_.set_last_decay_time(now);
+    MaintenanceTickSpec decay;
+    decay.decay = true;
+    decay.evict = true;
+    decay.now = now;
+    manager_.RunMaintenanceTick(decay, generator_->rng());
+  }
   // Asynchronous proxy refresh from freshly sampled feedback (section 4.1).
   PretrainProxy(64);
-  const ReplayReport report = manager_.RunReplayPass();
-  metrics_.Increment("replay_examined", static_cast<double>(report.candidates));
-  metrics_.Increment("replay_performed", static_cast<double>(report.replayed));
-  metrics_.Increment("replay_improved", static_cast<double>(report.improved));
+  MaintenanceTickSpec replay;
+  replay.replay = true;
+  replay.now = now;
+  const MaintenanceApplyOutcome outcome = manager_.RunMaintenanceTick(replay, generator_->rng());
+  metrics_.Increment("replay_examined", static_cast<double>(outcome.replay_candidates));
+  metrics_.Increment("replay_performed", static_cast<double>(outcome.replayed));
+  metrics_.Increment("replay_improved", static_cast<double>(outcome.improved));
 }
 
 }  // namespace iccache

@@ -129,7 +129,10 @@ class IcCacheService {
   // Current cluster utilization (1.0 == at capacity) from the harness.
   void ObserveLoad(double load);
 
-  // Periodic maintenance: utility decay, replay pass, eviction.
+  // Periodic maintenance on the driver's plan + apply path, run in-line:
+  // a decay + knapsack-eviction tick once the decay interval has elapsed,
+  // a proxy refresh, then one cost-aware replay tick whose draws come from
+  // the generator's own stream.
   void RunMaintenance(double now);
 
   // Fault injection (section 5).

@@ -11,17 +11,11 @@
 // that explicitly with a fixed common component mixed into every embedding, so
 // downstream similarity statistics have the same geometry the paper measured.
 //
-// Two hot-path facilities keep embedding off the allocator in the serving
-// driver's prepare loop:
-//
-//  * EmbedInto writes into a caller-provided arena slot, tokenizing with
-//    zero-copy word spans and incremental feature hashing — no per-token or
-//    per-call heap allocations, bit-identical output to Embed (which is now a
-//    thin wrapper around it).
-//  * EmbedMemo is a bounded, deterministic, direct-mapped memo keyed by the
-//    text's hash: a hit replays the stored embedder output byte-for-byte
-//    (exact text comparison guards against hash collisions), so memoization
-//    can never change a decision downstream.
+// EmbedInto keeps embedding off the allocator in the serving driver's
+// prepare loop: it writes into a caller-provided arena slot, tokenizing with
+// zero-copy word spans and incremental feature hashing — no per-token or
+// per-call heap allocations, bit-identical output to Embed (which is a thin
+// wrapper around it).
 #ifndef SRC_EMBEDDING_EMBEDDER_H_
 #define SRC_EMBEDDING_EMBEDDER_H_
 
@@ -106,38 +100,6 @@ uint64_t HashTokenSpan(std::string_view token, uint64_t seed);
 // HashToken of lower(a) + "_" + lower(b), hashed incrementally over the three
 // parts (FNV-1a is sequential, so this equals hashing the concatenation).
 uint64_t HashBigramSpan(std::string_view a, std::string_view b, uint64_t seed);
-
-// Bounded deterministic embedding memo: direct-mapped by text hash, one entry
-// per slot, newest-wins replacement. A hit copies the STORED embedder output
-// (exact text equality required, so collisions can never serve a wrong
-// vector), making memoized and unmemoized runs byte-identical. Not
-// thread-safe: intended as a per-worker (thread_local) cache.
-class EmbedMemo {
- public:
-  // `slots` is rounded up to a power of two; 0 disables memoization
-  // (every call goes straight to the embedder).
-  explicit EmbedMemo(size_t slots);
-
-  // Embeds `text` into out[0, embedder.dim()), serving exact repeats from the
-  // memo. Returns true on a memo hit.
-  bool EmbedInto(const Embedder& embedder, const std::string& text, float* out);
-
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  struct Slot {
-    bool valid = false;
-    uint64_t hash = 0;
-    std::string text;
-    std::vector<float> vec;
-  };
-
-  std::vector<Slot> slots_;
-  uint64_t mask_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
 
 }  // namespace iccache
 

@@ -109,6 +109,11 @@ class GenerationSimulator {
   RngState rng_state() const { return rng_.SaveState(); }
   void restore_rng_state(const RngState& state) { rng_.RestoreState(state); }
 
+  // The simulator's own sampling stream, for synchronous callers that drive
+  // the const overloads above in-line with it (IcCacheService's replay ticks
+  // draw from it exactly as the mutating Generate would).
+  Rng& rng() { return rng_; }
+
  private:
   double EffectiveCapability(const ModelProfile& model, const std::vector<ExampleView>& examples,
                              Rng& rng) const;

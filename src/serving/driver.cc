@@ -49,13 +49,6 @@ Stage0Config SeededStage0Config(Stage0Config config, uint64_t seed) {
   return config;
 }
 
-MaintenanceSchedulerConfig SchedulerConfig(const DriverConfig& config) {
-  MaintenanceSchedulerConfig scheduler;
-  scheduler.background = config.background_maintenance;
-  scheduler.seed = Mix64(config.seed ^ 0x3a171ull);
-  return scheduler;
-}
-
 double Since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
@@ -74,7 +67,7 @@ ServingDriver::ServingDriver(DriverConfig config, const ModelCatalog* catalog)
       generator_(Mix64(config.seed ^ 0x6e4ull)),
       manager_(&cache_, &generator_, large_, config.manager),
       stage0_(embedder_, SeededStage0Config(config.stage0, config.seed)),
-      maintenance_(&manager_, SchedulerConfig(config)),
+      maintenance_(&manager_, Mix64(config.seed ^ 0x3a171ull)),
       checkpointer_(CheckpointerConfig{config.snapshot_path, config.checkpoint_interval_s,
                                        config.replay_load_threshold,
                                        /*force_factor=*/2.0}) {
@@ -179,10 +172,6 @@ struct PrepareScratch {
   SearchScratch index_scratch;
   std::vector<std::optional<Stage0Probe>> probes;
   std::vector<std::vector<SearchResult>> stage1;
-  // The memo caches THIS driver's embedder output; rebuilt if the thread
-  // later serves a driver with a different embedder (tests construct many).
-  std::unique_ptr<EmbedMemo> memo;
-  const Embedder* memo_owner = nullptr;
 };
 
 }  // namespace
@@ -191,25 +180,18 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
                                  Prepared* out) const {
   static thread_local PrepareScratch s;
   const size_t dim = embedder_->dim();
-  if (s.memo == nullptr || s.memo_owner != embedder_.get()) {
-    s.memo = std::make_unique<EmbedMemo>(config_.embed_memo_slots);
-    s.memo_owner = embedder_.get();
-  }
-  const uint64_t memo_hits_before = s.memo->hits();
-  const uint64_t memo_misses_before = s.memo->misses();
   const bool traced = TraceRecorder::tracing_enabled();
   s.embeddings.resize(count * dim);
   s.begin_ns.resize(count);
 
   // One embed per request, shared by every stage below: stage-0 probe,
   // stage-1 retrieval, and the admission scrub all reuse the arena slot.
-  // Memo hits replay stored embedder output byte-for-byte.
   for (size_t i = 0; i < count; ++i) {
     if (traced) {
       s.begin_ns[i] = TraceRecorder::Global().NowNs();
     }
     TraceSpan embed_span(TraceCategory::kEmbed, chunk_requests[i].id);
-    s.memo->EmbedInto(*embedder_, chunk_requests[i].text, s.embeddings.data() + i * dim);
+    embedder_->EmbedInto(chunk_requests[i].text, s.embeddings.data() + i * dim);
   }
 
   // Batched stage-0 probe against the window-start response cache (pure
@@ -272,8 +254,6 @@ void ServingDriver::PrepareChunk(const Request* chunk_requests, size_t count,
       TraceRecorder::Global().Emit(prepare_event);
     }
   }
-  memo_hits_.fetch_add(s.memo->hits() - memo_hits_before, std::memory_order_relaxed);
-  memo_misses_.fetch_add(s.memo->misses() - memo_misses_before, std::memory_order_relaxed);
 }
 
 void ServingDriver::CommitLaneRequest(const Request& request, Prepared& prep,
@@ -387,8 +367,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
   report.total_requests = requests.size();
   report.decisions.reserve(requests.size());
   const uint64_t evicted_before = cache_.evicted_total();
-  const uint64_t memo_hits_before = memo_hits_.load(std::memory_order_relaxed);
-  const uint64_t memo_misses_before = memo_misses_.load(std::memory_order_relaxed);
   size_t planned_evictions = 0;  // maintenance-batch removals (not in the store counter)
   const size_t checkpoints_before = checkpointer_.taken();
   LatencyHistogram run_checkpoint_ms(1e-3, 1.10, 256);  // this segment's writes only
@@ -840,9 +818,7 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
     //    Run never returns with the scheduler busy (snapshot parity).
     if (maintenance_.idle()) {
       const double sim_now = cluster_.now();
-      const bool decay_due =
-          config_.lifecycle_maintenance &&
-          sim_now - manager_.last_decay_time() >= config_.manager.decay_interval_s;
+      const bool decay_due = config_.lifecycle_maintenance && manager_.DecayDue(sim_now);
       const int64_t capacity = config_.cache.cache.capacity_bytes;
       const bool evict_due =
           decay_due ||
@@ -965,10 +941,6 @@ DriverReport ServingDriver::Run(const std::vector<Request>& requests) {
       static_cast<size_t>(HnswRerankQueriesTotal() - rerank_queries_before);
   report.hnsw_rerank_candidates =
       static_cast<size_t>(HnswRerankCandidatesTotal() - rerank_candidates_before);
-  report.embed_memo_hits = static_cast<size_t>(memo_hits_.load(std::memory_order_relaxed) -
-                                               memo_hits_before);
-  report.embed_memo_misses = static_cast<size_t>(memo_misses_.load(std::memory_order_relaxed) -
-                                                 memo_misses_before);
 
   // Deterministic tail-exemplar selection: slowest-K completions per batch
   // window (ties broken by request id) plus an optional fixed-rate sample.

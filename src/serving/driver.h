@@ -20,10 +20,9 @@
 //       stage-1 sharded retrieval, stage-2 proxy scoring, admission
 //       scrub/embed + dedupe probe. The window is fanned out in
 //       `prepare_chunk`-sized batches: each chunk embeds into a reused
-//       per-thread arena (through a per-worker embedding memo) and drives
-//       stage-0 and stage-1 through the multi-query index path, taking each
-//       shard lock once per chunk. Window N+1's prepare overlaps window N's
-//       commit lanes.
+//       per-thread arena and drives stage-0 and stage-1 through the
+//       multi-query index path, taking each shard lock once per chunk.
+//       Window N+1's prepare overlaps window N's commit lanes.
 //   SHARDED COMMIT (parallel lanes + serial merge) — the per-request half of
 //       the old serial phase runs on `commit_lanes` actor-style lanes
 //       (requests partitioned by request-key shard, each lane internally
@@ -57,7 +56,6 @@
 #ifndef SRC_SERVING_DRIVER_H_
 #define SRC_SERVING_DRIVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -108,12 +106,8 @@ struct DriverConfig {
   // multi-query index path (one shard lock per chunk instead of one per
   // request). Purely a throughput knob: decisions are byte-identical at any
   // chunk size (each query's batched search result equals its single-query
-  // result, and the memo replays stored embedder output verbatim).
+  // result).
   size_t prepare_chunk = 16;
-  // Per-worker embedding memo capacity (rounded up to a power of two; 0
-  // disables memoization). Hits replay the stored embedder output
-  // byte-for-byte, so the memo can never change a decision.
-  size_t embed_memo_slots = 1024;
 
   // Stage-0 response tier: before stage-1 example retrieval, probe a bounded
   // semantic response cache; a confident hit (learned embedding-similarity
@@ -157,14 +151,10 @@ struct DriverConfig {
   double replay_load_threshold = 0.35;
   double replay_min_interval_s = 900.0;
 
-  // Background maintenance threading. `background_maintenance = false` plans
-  // ticks inline on the driver thread instead of the dedicated one —
-  // byte-identical results (the publish boundary is the same), useful for
-  // debugging. `maintenance_publish_lag` is how many window boundaries a
-  // requested tick ages before its mutation batch is applied: the planner's
-  // deterministic compute budget. Checkpoints and end-of-run flush pending
-  // ticks early (at equally deterministic points).
-  bool background_maintenance = true;
+  // How many window boundaries a requested maintenance tick ages before its
+  // mutation batch is applied: the background planner's deterministic
+  // compute budget. Checkpoints and end-of-run flush pending ticks early (at
+  // equally deterministic points).
   size_t maintenance_publish_lag = 2;
 
   // Fault injection (section 5): bypass the selector (serve without
@@ -287,13 +277,6 @@ struct DriverReport {
   size_t hnsw_rerank_queries = 0;
   size_t hnsw_rerank_candidates = 0;
 
-  // Embedding memo-cache activity in the batched prepare path. Memos are
-  // per-worker (thread_local), so the split between hits and misses depends
-  // on pool scheduling — report it, never gate on it. Hits replay stored
-  // embedder output byte-for-byte, so the totals are diagnostics only.
-  size_t embed_memo_hits = 0;
-  size_t embed_memo_misses = 0;
-
   // Deterministic tail exemplars (slowest-K per window + fixed-rate sample),
   // sorted by (window, request_id). Stage-0 hits never reach the cluster, so
   // they produce no completion and cannot appear here.
@@ -399,8 +382,8 @@ class ServingDriver {
   };
 
   // Batched prepare for `count` consecutive requests (one pool task's chunk):
-  // per-request memoized embeds into a reused arena, one batched stage-0
-  // probe, one batched stage-1 sweep, then the per-request tail
+  // per-request embeds into a reused arena, one batched stage-0 probe, one
+  // batched stage-1 sweep, then the per-request tail
   // (filter/snapshot/stage-2 scoring + admission prep). out[i] is exactly
   // what the historical per-request prepare produced for chunk_requests[i].
   void PrepareChunk(const Request* chunk_requests, size_t count, Prepared* out) const;
@@ -425,12 +408,6 @@ class ServingDriver {
   double last_replay_time_ = 0.0;
 
   MetricsHub hub_;
-
-  // Embedding-memo accounting, aggregated across the per-worker memos (the
-  // workers tick these after each chunk; the driver thread folds deltas into
-  // the report at run end).
-  mutable std::atomic<uint64_t> memo_hits_{0};
-  mutable std::atomic<uint64_t> memo_misses_{0};
 
   Checkpointer checkpointer_;
   Status restore_status_;

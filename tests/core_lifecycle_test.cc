@@ -51,6 +51,13 @@ class ShardedLifecycleFixture : public ::testing::Test {
     return config;
   }
 
+  // One synchronous replay tick over an immediate all-shard cut.
+  MaintenanceApplyOutcome ReplayTick() {
+    MaintenanceTickSpec spec;
+    spec.replay = true;
+    return manager_.RunMaintenanceTick(spec, sim_.rng());
+  }
+
   ModelCatalog catalog_;
   QueryGenerator gen_;
   std::shared_ptr<const Embedder> embedder_;
@@ -146,7 +153,7 @@ TEST_F(ShardedLifecycleFixture, ReplayLifetimeCapHonoredAcrossShards) {
         example.access_count = 40;
       });
     }
-    manager_.RunReplayPass();
+    ReplayTick();
   }
   size_t replayed_at_cap = 0;
   for (uint64_t id : ids) {
@@ -165,7 +172,7 @@ TEST_F(ShardedLifecycleFixture, ReplayImprovesHotLowQualityExamplesInShards) {
     example.replay_gain_ema = 0.9;
     example.access_count = 40;
   });
-  const ReplayReport report = manager_.RunReplayPass();
+  const MaintenanceApplyOutcome report = ReplayTick();
   EXPECT_EQ(report.replayed, 1u);
   Example example;
   ASSERT_TRUE(store_.Snapshot(id, &example));
@@ -176,12 +183,17 @@ TEST_F(ShardedLifecycleFixture, ReplayImprovesHotLowQualityExamplesInShards) {
 TEST_F(ShardedLifecycleFixture, MaintenanceDecaysOnInterval) {
   const uint64_t id = store_.Put(gen_.Next(), "r", 0.5, 0.785, 100, 0.0);
   store_.RecordOffload(id, 10.0);
-  EXPECT_FALSE(manager_.MaybeRunMaintenance(100.0).ran);  // within the hour
+  EXPECT_FALSE(manager_.DecayDue(100.0));  // within the hour
   Example example;
   ASSERT_TRUE(store_.Snapshot(id, &example));
   EXPECT_NEAR(example.offload_value, 10.0, 1e-9);
 
-  EXPECT_TRUE(manager_.MaybeRunMaintenance(3700.0).ran);
+  ASSERT_TRUE(manager_.DecayDue(3700.0));
+  MaintenanceTickSpec spec;
+  spec.decay = true;
+  spec.evict = true;
+  spec.now = 3700.0;
+  EXPECT_TRUE(manager_.RunMaintenanceTick(spec, sim_.rng()).decay_ran);
   ASSERT_TRUE(store_.Snapshot(id, &example));
   EXPECT_NEAR(example.offload_value, 9.0, 1e-9);
 }

@@ -135,8 +135,22 @@ TEST_F(ServiceFixture, MaintenanceRunsReplayAndDecay) {
   for (int i = 0; i < 50; ++i) {
     service_.ServeRequest(gen_.Next(), static_cast<double>(i));
   }
+  // Unbounded pool: no eviction, so the example survives both ticks.
+  const uint64_t id = service_.cache().AllIds().front();
+  service_.cache().RecordOffload(id, 10.0);
+  const double before = service_.cache().Get(id)->offload_value;
+
+  // Past the decay interval: one decay tick, then a replay pass.
   service_.RunMaintenance(3700.0);
-  EXPECT_GE(service_.metrics().Get("replay_examined"), 0.0);
+  EXPECT_DOUBLE_EQ(service_.manager().last_decay_time(), 3700.0);
+  const double decayed = service_.cache().Get(id)->offload_value;
+  EXPECT_DOUBLE_EQ(decayed, before * service_.config().cache.decay_factor);
+  EXPECT_GT(service_.metrics().Get("replay_examined"), 0.0);
+
+  // Within the same hour: the replay tick runs again, the decay does not.
+  service_.RunMaintenance(3800.0);
+  EXPECT_DOUBLE_EQ(service_.manager().last_decay_time(), 3700.0);
+  EXPECT_DOUBLE_EQ(service_.cache().Get(id)->offload_value, decayed);
 }
 
 TEST_F(ServiceFixture, OverheadChargedOnlyWhenComponentsRun) {

@@ -563,7 +563,10 @@ TEST_F(PersistTest, ServiceWarmStartPreservesReplayGains) {
   for (int i = 0; i < 100; ++i) {
     service.ServeRequest(history.Next(), static_cast<double>(i));
   }
-  const ReplayReport replay = service.manager().RunReplayPass();
+  MaintenanceTickSpec replay_tick;
+  replay_tick.replay = true;
+  const MaintenanceApplyOutcome replay =
+      service.manager().RunMaintenanceTick(replay_tick, generator.rng());
   ASSERT_GT(replay.replayed, 0u);
   ASSERT_TRUE(service.SaveSnapshot(path).ok());
 

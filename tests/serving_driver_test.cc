@@ -172,7 +172,7 @@ TEST(ServingDriverTest, QuantizedHnswIsThreadAndLaneCountInvariant) {
 
 // The batched prepare path re-blocks embed/stage-0/stage-1 work into
 // prepare_chunk-sized batches, but chunking is a locality optimisation only:
-// decisions, counters, and memo-independent state must be byte-identical at
+// decisions, counters, and pool state must be byte-identical at
 // chunk sizes 1 (degenerate per-request batches), the default, and a chunk
 // larger than the batch window — at 1 and 8 threads.
 TEST(ServingDriverTest, PrepareChunkSizeIsDecisionInvariant) {
@@ -203,35 +203,6 @@ TEST(ServingDriverTest, PrepareChunkSizeIsDecisionInvariant) {
   }
   ASSERT_NE(reference, nullptr);
   EXPECT_GT(reference->offloaded_requests, 0u);
-}
-
-// The embedding memo must be invisible in results: with zero slots (memo off)
-// and with generous slots, the decision stream is identical — a hit replays
-// the embedder's output byte-for-byte. Repeated texts in the duplicate-heavy
-// half of the workload give the memo real hits to replay.
-TEST(ServingDriverTest, EmbedMemoIsDecisionInvariant) {
-  std::vector<Request> requests = SmallWorkload();
-  // Make the tail half verbatim repeats of the head so exact-repeat hits
-  // actually occur on the single-threaded run.
-  for (size_t i = requests.size() / 2; i < requests.size(); ++i) {
-    requests[i].text = requests[i - requests.size() / 2].text;
-  }
-  ModelCatalog catalog;
-  DriverConfig config;
-  config.batch_window = 32;
-  config.cache.num_shards = 4;
-  config.num_threads = 1;
-
-  config.embed_memo_slots = 0;
-  const DriverReport memo_off = MakeDriverWithConfig(catalog, config)->Run(requests);
-  config.embed_memo_slots = 4096;
-  const DriverReport memo_on = MakeDriverWithConfig(catalog, config)->Run(requests);
-
-  ExpectSameDecisions(memo_off, memo_on);
-  EXPECT_EQ(memo_off.offloaded_requests, memo_on.offloaded_requests);
-  EXPECT_EQ(memo_off.admitted_examples, memo_on.admitted_examples);
-  EXPECT_EQ(memo_off.embed_memo_hits, 0u);
-  EXPECT_GT(memo_on.embed_memo_hits, 0u);
 }
 
 // Satellite: shard count and retrieval backend are plain DriverConfig knobs.
